@@ -29,10 +29,10 @@ re-implemented privately inside individual passes:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Optional, Sequence, Union
 
+from ..concurrency import Memo
 from ..graph import Graph
 from ..graph_module import GraphModule
 from ..node import Node
@@ -207,40 +207,10 @@ def registered_analyses() -> dict[str, Analysis]:
 # ---------------------------------------------------------------------------
 
 
-class _ResultCache:
-    """Process-wide LRU of analysis results keyed by
-    ``(analysis name, graph structural hash, extra key)``."""
-
-    def __init__(self, maxsize: int = 2048):
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple, Any]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple) -> tuple[bool, Any]:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return True, self._entries[key]
-        self.misses += 1
-        return False, None
-
-    def store(self, key: tuple, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-_CACHE = _ResultCache()
+#: Process-wide analysis results keyed by ``(analysis name, graph
+#: structural hash, extra key)``.  Locked, with single-flight builds:
+#: DCE and CSE query it from serve's worker threads.
+_CACHE = Memo(2048)
 
 
 def clear_analysis_cache() -> None:
@@ -248,7 +218,7 @@ def clear_analysis_cache() -> None:
 
 
 def analysis_cache_info() -> dict[str, int]:
-    return {"size": len(_CACHE), "hits": _CACHE.hits, "misses": _CACHE.misses}
+    return _CACHE.info()
 
 
 class AnalysisContext:
@@ -316,23 +286,22 @@ class AnalysisContext:
                     hash(key)
                 except Exception:
                     key = None
-        if key is not None:
-            hit, value = _CACHE.lookup(key)
-            if hit:
-                self._local[name] = value
-                return value
+        if key is None:
+            value = self._compute(name, analysis)
+        else:
+            value = _CACHE.get_or_build(
+                key, lambda: self._compute(name, analysis))[0]
+        self._local[name] = value
+        return value
 
+    def _compute(self, name: str, analysis: Analysis) -> Any:
         self._in_flight.append(name)
         try:
             for dep in analysis.requires:
                 self.get(dep)
-            value = analysis.compute(self.gm, self)
+            return analysis.compute(self.gm, self)
         finally:
             self._in_flight.pop()
-        self._local[name] = value
-        if key is not None:
-            _CACHE.store(key, value)
-        return value
 
 
 def analyze(gm: GraphModule, names: Optional[Sequence[str]] = None, *,

@@ -22,13 +22,12 @@ compile work is ever started and then thrown away.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ...nn import Module
-from ..concurrency import KeyedMutex, on_fork_reset
+from ..concurrency import Memo
 from ..graph import UnstableHashError
 from ..graph_module import GraphModule
 from ..passes import PassManager, PassRecord
@@ -98,40 +97,20 @@ class BackendReport:
 #: module objects, not pickles: engine closures are not picklable, and the
 #: hash covers parameter/buffer bytes, so an equal key implies the same
 #: function.  Shared modules are safe for sequential reuse (backends with
-#: per-call state must set ``cacheable = False``).
-#:
-#: Concurrency: dict + counters under ``_CACHE_LOCK``; engine builds run
-#: outside it but single-flighted per key through ``_COMPILE_MUTEX``, so
-#: concurrent lowerings of structurally identical partitions build once
-#: and share the module (one miss, the rest hits).
-_SUBGRAPH_CACHE: Dict[tuple, Module] = {}
-_CACHE_STATS = {"hits": 0, "misses": 0}
-_CACHE_LOCK = threading.Lock()
-_COMPILE_MUTEX = KeyedMutex()
-
-
-@on_fork_reset
-def _reset_lock_after_fork() -> None:
-    global _CACHE_LOCK
-    _CACHE_LOCK = threading.Lock()
+#: per-call state must set ``cacheable = False``).  Builds are
+#: single-flight, so concurrent lowerings of structurally identical
+#: partitions build once and share the module (one miss, the rest hits).
+_SUBGRAPH_CACHE = Memo(256)
 
 
 def subgraph_cache_info() -> dict[str, int]:
     """Hit/miss/size counters for the shared per-partition compile memo."""
-    with _CACHE_LOCK:
-        return {
-            "hits": _CACHE_STATS["hits"],
-            "misses": _CACHE_STATS["misses"],
-            "size": len(_SUBGRAPH_CACHE),
-        }
+    return _SUBGRAPH_CACHE.info()
 
 
 def clear_subgraph_cache() -> None:
     """Drop every memoized compiled partition."""
-    with _CACHE_LOCK:
-        _SUBGRAPH_CACHE.clear()
-        _CACHE_STATS["hits"] = 0
-        _CACHE_STATS["misses"] = 0
+    _SUBGRAPH_CACHE.clear()
 
 
 def _compile_partition(backend: Backend, sub_gm: GraphModule,
@@ -151,28 +130,10 @@ def _compile_partition(backend: Backend, sub_gm: GraphModule,
         # object identity — skip the memo rather than cache unsoundly.
         return backend.compile_subgraph(sub_gm)
 
-    def lookup() -> Optional[Module]:
-        with _CACHE_LOCK:
-            cached = _SUBGRAPH_CACHE.get(key)
-            if cached is not None:
-                stats["hits"] += 1
-                _CACHE_STATS["hits"] += 1
-            return cached
-
-    cached = lookup()
-    if cached is not None:
-        return cached
-    # Single-flight: one builder per key; racers wait, then hit above.
-    with _COMPILE_MUTEX.acquire(key):
-        cached = lookup()
-        if cached is not None:
-            return cached
-        compiled = backend.compile_subgraph(sub_gm)
-        with _CACHE_LOCK:
-            stats["misses"] += 1
-            _CACHE_STATS["misses"] += 1
-            _SUBGRAPH_CACHE[key] = compiled
-        return compiled
+    compiled, hit = _SUBGRAPH_CACHE.get_or_build(
+        key, lambda: backend.compile_subgraph(sub_gm))
+    stats["hits" if hit else "misses"] += 1
+    return compiled
 
 
 # -- the entrypoint ------------------------------------------------------------

@@ -1,10 +1,19 @@
-"""Concurrency primitives shared by the compile-stack caches.
+"""Concurrency primitives and the one memo class behind every
+compile-stack cache.
 
-Until the serving runtime arrived, every cache in ``repro.fx`` — the
-codegen LRU in :meth:`~repro.fx.GraphModule.recompile`, the
-:class:`~repro.fx.passes.TransformCache`, the ``compile_to_vm`` memo and
-the per-partition memo in ``to_backend`` — assumed a single caller.
-Under a worker pool that assumption breaks in two ways:
+Each stage of the compile pipeline is memoized on
+``Graph.structural_hash`` (or a key built from it), and every one of
+those caches is an instance of :class:`Memo`:
+
+* the codegen cache behind :meth:`~repro.fx.GraphModule.recompile`;
+* the :class:`~repro.fx.passes.TransformCache` of pass results;
+* the analysis result cache of :mod:`repro.fx.analysis`;
+* the per-partition compile memo in ``to_backend``;
+* the ``compile_to_vm`` program memo;
+* the live-engine tier of :class:`~repro.serve.EngineCache`.
+
+Under a worker pool (the serving runtime, concurrent lowerings) a cache
+can go wrong in two ways:
 
 * **bookkeeping corruption** — ``OrderedDict.move_to_end`` /
   ``popitem`` racing with inserts can raise or lose entries, and
@@ -14,11 +23,11 @@ Under a worker pool that assumption breaks in two ways:
   insertion) and N distinct artifact objects circulate where callers
   expect one shared one.
 
-The first problem is solved with a plain lock around each cache's
-bookkeeping.  The second is solved with :class:`KeyedMutex`: a per-key
-critical section, so the first worker through compiles while equal-key
-workers wait and then find the entry — one miss, N-1 hits, and one
-shared artifact, no matter the interleaving.  Distinct keys never
+:class:`Memo` solves the first with one lock over its entries and
+counters, and the second with a :class:`KeyedMutex`: in
+:meth:`Memo.get_or_build` the first worker through builds while
+equal-key workers wait and then find the entry — one miss, N-1 hits and
+one shared artifact, no matter the interleaving.  Distinct keys never
 contend on anything but the (cheap) registry lock.
 """
 
@@ -27,59 +36,11 @@ from __future__ import annotations
 import os
 import threading
 import weakref
+from collections import OrderedDict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
-__all__ = ["KeyedMutex", "on_fork_reset"]
-
-
-# -- fork safety ----------------------------------------------------------------
-#
-# The sharded execution tier (``repro.fx.sharding``) forks worker processes
-# from a parent that may be running a thread pool (the serving runtime, a
-# concurrent lowering).  A fork taken while *another* thread holds one of the
-# compile-stack locks copies that lock in its locked state into the child,
-# where no thread exists to ever release it — the first child-side
-# ``recompile()`` then deadlocks.  Modules owning process-wide locks register
-# a reset callback here; the callbacks run in the child immediately after
-# fork (``os.register_at_fork``) and replace the inherited locks with fresh
-# ones.  This is sound because the child starts with exactly one thread, so
-# no child-side critical section can be live at reset time.
-
-_FORK_RESETS: List[Callable[[], None]] = []
-
-
-def on_fork_reset(callback: Callable[[], None]) -> Callable[[], None]:
-    """Register *callback* to run in a child process right after ``fork``.
-
-    Use it to re-initialize module-level locks/mutexes so a child forked
-    from a multi-threaded parent can never inherit a lock in a locked
-    state.  Returns the callback (usable as a decorator).
-    """
-    _FORK_RESETS.append(callback)
-    return callback
-
-
-def _run_fork_resets() -> None:
-    for callback in list(_FORK_RESETS):
-        try:
-            callback()
-        except Exception:
-            pass  # a broken reset must not kill the child at fork time
-
-
-if hasattr(os, "register_at_fork"):  # not on Windows (no fork there anyway)
-    os.register_at_fork(after_in_child=_run_fork_resets)
-
-
-#: Every live KeyedMutex, so fork resets can rebuild their registries.
-_MUTEXES: "weakref.WeakSet[KeyedMutex]" = weakref.WeakSet()
-
-
-@on_fork_reset
-def _reset_mutexes() -> None:
-    for mutex in list(_MUTEXES):
-        mutex._reset_after_fork()
+__all__ = ["KeyedMutex", "Memo"]
 
 
 class KeyedMutex:
@@ -91,34 +52,13 @@ class KeyedMutex:
     leaves, so the registry never grows beyond the number of keys
     currently in flight.
 
-    The intended caching idiom (single-flight compilation)::
-
-        with lock:                       # fast path, no per-key state
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-        with mutex.acquire(key):         # one builder per key
-            with lock:                   # another builder may have won
-                hit = cache.get(key)
-                if hit is not None:
-                    return hit
-            artifact = expensive_build()
-            with lock:
-                cache[key] = artifact
-            return artifact
+    :meth:`Memo.get_or_build` builds its single-flight compiles on it.
     """
 
     def __init__(self) -> None:
         self._registry_lock = threading.Lock()
         #: key -> [lock, refcount]
         self._entries: Dict[Any, List[Any]] = {}
-        _MUTEXES.add(self)
-
-    def _reset_after_fork(self) -> None:
-        # Runs in a freshly forked child (single-threaded by definition):
-        # drop per-key locks that may have been copied mid-acquisition.
-        self._registry_lock = threading.Lock()
-        self._entries = {}
 
     @contextmanager
     def acquire(self, key: Any) -> Iterator[None]:
@@ -141,3 +81,146 @@ class KeyedMutex:
         """Number of keys with at least one holder (diagnostics only)."""
         with self._registry_lock:
             return len(self._entries)
+
+
+#: Sentinel for "no entry": cached values may be ``None`` or falsy.
+_MISSING = object()
+
+
+# -- fork safety ----------------------------------------------------------------
+#
+# The sharded execution tier (``repro.fx.sharding``) forks worker processes
+# from a parent that may be running a thread pool (the serving runtime, a
+# concurrent lowering).  A fork taken while *another* thread holds a memo's
+# lock or one of its per-key build locks copies that lock in its locked
+# state into the child, where no thread exists to ever release it — the
+# first child-side ``recompile()`` then deadlocks.  So right after fork
+# (``os.register_at_fork``) the child replaces every memo's locks with fresh
+# ones.  This is sound because the child starts with exactly one thread, so
+# no child-side critical section can be live at reset time; the entries
+# themselves survive the fork intact.
+
+#: Every live Memo, so a forked child can replace their locks.
+_MEMOS: "weakref.WeakSet[Memo]" = weakref.WeakSet()
+
+
+def _reset_memos_after_fork() -> None:
+    for memo in list(_MEMOS):
+        memo._lock = threading.Lock()
+        memo._flight = KeyedMutex()
+
+
+if hasattr(os, "register_at_fork"):  # not on Windows (no fork there anyway)
+    os.register_at_fork(after_in_child=_reset_memos_after_fork)
+
+
+class Memo:
+    """A bounded LRU memo with single-flight builds.
+
+    Args:
+        maxsize: the entry bound; storing past it evicts the least
+            recently used entry.
+        on_evict: called with each value that leaves the memo — by the
+            LRU bound, by :meth:`clear`, or by a :meth:`store` that
+            replaces it with a different value.  Runs outside the lock.
+
+    ``hits`` and ``misses`` count lookups: every :meth:`lookup` and every
+    :meth:`get_or_build` call counts exactly one of the two, and
+    :meth:`clear` zeroes both.  One lock guards entries and counters; it
+    and the per-key build locks are replaced in a child process right
+    after ``fork``.
+    """
+
+    def __init__(self, maxsize: int,
+                 on_evict: Optional[Callable[[Any], None]] = None) -> None:
+        self.maxsize = maxsize
+        self._on_evict = on_evict
+        self._entries: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        self._flight = KeyedMutex()
+        self.hits = 0
+        self.misses = 0
+        _MEMOS.add(self)
+
+    # ``_hit`` and ``_put`` run under ``self._lock``; ``_evict`` outside it.
+
+    def _hit(self, key: Any) -> Any:
+        value = self._entries.get(key, _MISSING)
+        if value is not _MISSING:
+            self._entries.move_to_end(key)
+            self.hits += 1
+        return value
+
+    def _put(self, key: Any, value: Any) -> List[Any]:
+        evicted = []
+        old = self._entries.pop(key, _MISSING)
+        if old is not _MISSING and old is not value:
+            evicted.append(old)
+        self._entries[key] = value
+        while len(self._entries) > self.maxsize:
+            evicted.append(self._entries.popitem(last=False)[1])
+        return evicted
+
+    def _evict(self, values: List[Any]) -> None:
+        if self._on_evict is not None:
+            for value in values:
+                self._on_evict(value)
+
+    def lookup(self, key: Any) -> Any:
+        """The value stored under *key* (now the most recently used), or
+        ``None``.  Counts one hit or one miss."""
+        with self._lock:
+            value = self._hit(key)
+            if value is _MISSING:
+                self.misses += 1
+                return None
+        return value
+
+    def store(self, key: Any, value: Any) -> None:
+        """Store *value* under *key* as the most recently used entry."""
+        with self._lock:
+            evicted = self._put(key, value)
+        self._evict(evicted)
+
+    def get_or_build(self, key: Any, build: Callable[[], Any]) -> tuple[Any, bool]:
+        """``(value, hit)`` for *key*, calling ``build()`` on a miss.
+
+        At most one ``build()`` per key runs at a time: equal-key callers
+        that arrive while it runs wait, then hit the stored value.  Each
+        call counts one hit or one miss.  A ``build()`` that raises
+        stores nothing.
+        """
+        with self._lock:
+            value = self._hit(key)
+        if value is not _MISSING:
+            return value, True
+        with self._flight.acquire(key):
+            with self._lock:
+                value = self._hit(key)
+                if value is not _MISSING:
+                    return value, True
+                self.misses += 1
+            value = build()
+            with self._lock:
+                evicted = self._put(key, value)
+        self._evict(evicted)
+        return value, False
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counters."""
+        with self._lock:
+            evicted = list(self._entries.values())
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+        self._evict(evicted)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def info(self) -> dict[str, int]:
+        """``hits``, ``misses``, ``size`` and ``maxsize``, read together."""
+        with self._lock:
+            return {"hits": self.hits, "misses": self.misses,
+                    "size": len(self._entries), "maxsize": self.maxsize}

@@ -37,12 +37,11 @@ different passes that happen to share a name can't collide.
 from __future__ import annotations
 
 import pickle
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence, Union
 
+from ..concurrency import Memo
 from ..graph import _hash_token_for_object
 from ..graph_module import GraphModule
 
@@ -161,7 +160,7 @@ class CacheEntry:
     verifier_key: Any = None
 
 
-class TransformCache:
+class TransformCache(Memo):
     """LRU cache of pass results keyed by ``(pass identity token, input
     hash)``, where the identity token is the pass callable's resolvable
     ``module.qualname`` (see ``_pass_cache_token``) — passes without a
@@ -173,48 +172,14 @@ class TransformCache:
     of consecutive hits is chained through the stored output hashes, so
     intermediate results are never materialized at all.
 
-    Thread-safe: lookup/store/clear hold one lock (``lookup`` mutates —
-    LRU recency and the hit/miss counters), so concurrent PassManagers
-    sharing the process-wide cache can't corrupt the OrderedDict or lose
-    counter increments.  Entries themselves carry pickle bytes (immutable)
-    plus lazily-promoted ``linted``/``verify_snapshot`` fields whose
-    writes are idempotent (recomputed from the same payload), so
-    entry-level races are benign.
+    Thread-safe as a :class:`~repro.fx.concurrency.Memo`.  Entries
+    themselves carry pickle bytes (immutable) plus lazily-promoted
+    ``linted``/``verify_snapshot`` fields whose writes are idempotent
+    (recomputed from the same payload), so entry-level races are benign.
     """
 
     def __init__(self, maxsize: int = 1024):
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[tuple[str, str], CacheEntry]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key: tuple[str, str]) -> Optional[CacheEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def store(self, key: tuple[str, str], entry: CacheEntry) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        super().__init__(maxsize)
 
 
 _SHARED_CACHE = TransformCache()

@@ -170,8 +170,8 @@ atexit.register(shutdown_all_pools)
 def _pick_context():
     # fork shares the already-imported interpreter with the workers —
     # startup is milliseconds, which is what makes per-program sharded
-    # fuzz checks feasible.  The compile caches re-arm their locks via
-    # repro.fx.concurrency.on_fork_reset, so forking from a threaded
+    # fuzz checks feasible.  The compile caches (repro.fx.concurrency.Memo)
+    # re-arm their locks in a forked child, so forking from a threaded
     # host (e.g. a serve worker) is safe.  Fall back to spawn elsewhere.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(

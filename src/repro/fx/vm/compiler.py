@@ -35,12 +35,11 @@ than cache unsoundly.
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from ..analysis.engine import AnalysisContext
 from ..analysis.mutation import fused_out_clobbers
-from ..concurrency import KeyedMutex, on_fork_reset
+from ..concurrency import Memo
 from ..graph import UnstableHashError
 from ..graph_module import GraphModule
 from ..node import Node, map_arg
@@ -62,45 +61,22 @@ class VMCompileError(RuntimeError):
 #: structural hash -> VMProgram.  Stores program objects (they bake live
 #: constant/submodule references); the hash covers parameter/buffer bytes,
 #: so an equal key implies the same function — the same argument that
-#: justifies the per-partition backend memo.
-#:
-#: Concurrency: bookkeeping (dict + counters) is guarded by ``_CACHE_LOCK``;
-#: compilation itself runs outside it but inside a per-key
-#: :class:`~repro.fx.concurrency.KeyedMutex` region, so N workers racing on
-#: one graph produce exactly one compile (one miss, N-1 hits) and every
-#: caller gets the *same* program object — concurrent ``run``\s of which
-#: are safe via the program's arena lease pool.
-_VM_CACHE: Dict[Any, VMProgram] = {}
-_CACHE_STATS = {"hits": 0, "misses": 0}
-_CACHE_LOCK = threading.Lock()
-_COMPILE_MUTEX = KeyedMutex()
-
-
-@on_fork_reset
-def _reset_lock_after_fork() -> None:
-    global _CACHE_LOCK
-    _CACHE_LOCK = threading.Lock()
+#: justifies the per-partition backend memo.  Builds are single-flight,
+#: so N workers racing on one graph produce exactly one compile (one
+#: miss, N-1 hits) and every caller gets the *same* program object —
+#: concurrent ``run``\s of which are safe via the program's arena lease
+#: pool.
+_VM_CACHE = Memo(256)
 
 
 def vm_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters for the VM compile memo.
-
-    Consistent under concurrency: every ``compile_to_vm`` call that
-    reaches the memo counts exactly one hit or one miss, and ``misses``
-    equals the number of programs ever inserted.
-    """
-    with _CACHE_LOCK:
-        return {"hits": _CACHE_STATS["hits"],
-                "misses": _CACHE_STATS["misses"],
-                "size": len(_VM_CACHE)}
+    """Hit/miss/size counters for the VM compile memo."""
+    return _VM_CACHE.info()
 
 
 def clear_vm_cache() -> None:
     """Drop every memoized compiled program."""
-    with _CACHE_LOCK:
-        _VM_CACHE.clear()
-        _CACHE_STATS["hits"] = 0
-        _CACHE_STATS["misses"] = 0
+    _VM_CACHE.clear()
 
 
 def _fetch_attr(gm: GraphModule, target: str) -> Any:
@@ -273,21 +249,4 @@ def compile_to_vm(gm: GraphModule, *, cache: bool = True,
             key = None
     if key is None:
         return _compile(gm, validate_plan)
-    with _CACHE_LOCK:
-        hit = _VM_CACHE.get(key)
-        if hit is not None:
-            _CACHE_STATS["hits"] += 1
-            return hit
-    # Single-flight: the first thread through compiles; equal-key racers
-    # wait here, then find (and count) the hit above on re-check.
-    with _COMPILE_MUTEX.acquire(key):
-        with _CACHE_LOCK:
-            hit = _VM_CACHE.get(key)
-            if hit is not None:
-                _CACHE_STATS["hits"] += 1
-                return hit
-        program = _compile(gm, validate_plan)
-        with _CACHE_LOCK:
-            _CACHE_STATS["misses"] += 1
-            _VM_CACHE[key] = program
-        return program
+    return _VM_CACHE.get_or_build(key, lambda: _compile(gm, validate_plan))[0]

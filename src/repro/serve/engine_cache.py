@@ -31,8 +31,9 @@ recompile, never serve wrong code), the payload checksum matches, and
 the payload unpickles.  Any failure counts (``corrupt`` / ``stale``)
 and falls through to a rebuild, which then overwrites the bad file.
 
-Thread-safe: bookkeeping under one lock, builds and disk I/O
-single-flighted per key via :class:`~repro.fx.concurrency.KeyedMutex`.
+Thread-safe: the memory tier is a :class:`~repro.fx.concurrency.Memo`,
+so builds and disk I/O are single-flighted per key; the disk counters
+sit under one lock.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ import os
 import pickle
 import tempfile
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from ..fx.concurrency import KeyedMutex
+from ..fx.concurrency import Memo
 from ..fx.graph_module import GraphModule
 
 __all__ = ["ENGINE_FORMAT_VERSION", "EngineKey", "EngineCache"]
@@ -133,40 +133,21 @@ class EngineCache:
     def __init__(self, directory: Optional[str] = None,
                  max_memory_entries: int = 64):
         self.directory = directory
-        self.max_memory_entries = max_memory_entries
-        self._mem: "OrderedDict[EngineKey, Any]" = OrderedDict()
+        self._mem = Memo(max_memory_entries)
         self._lock = threading.Lock()
-        self._flight = KeyedMutex()
-        self._stats = {"hits": 0, "disk_hits": 0, "builds": 0,
+        self._stats = {"disk_hits": 0, "builds": 0,
                        "stores": 0, "stale": 0, "corrupt": 0}
 
     # -- bookkeeping -------------------------------------------------------------
 
     def info(self) -> dict:
+        mem = self._mem.info()
         with self._lock:
-            out = dict(self._stats)
-            out["size"] = len(self._mem)
-            return out
+            return {"hits": mem["hits"], **self._stats, "size": mem["size"]}
 
     def clear_memory(self) -> None:
-        """Drop live engines (disk artifacts are kept)."""
-        with self._lock:
-            self._mem.clear()
-
-    def _mem_get(self, key: EngineKey) -> Optional[Any]:
-        with self._lock:
-            engine = self._mem.get(key)
-            if engine is not None:
-                self._mem.move_to_end(key)
-                self._stats["hits"] += 1
-            return engine
-
-    def _mem_put(self, key: EngineKey, engine: Any) -> None:
-        with self._lock:
-            self._mem[key] = engine
-            self._mem.move_to_end(key)
-            while len(self._mem) > self.max_memory_entries:
-                self._mem.popitem(last=False)
+        """Drop live engines and zero ``hits`` (disk artifacts are kept)."""
+        self._mem.clear()
 
     def _count(self, counter: str) -> None:
         with self._lock:
@@ -250,17 +231,13 @@ class EngineCache:
                      builder: Callable[[], Any]) -> Any:
         """Return the engine for *key*, building at most once per key
         across all concurrent callers (memory -> disk -> ``builder()``)."""
-        engine = self._mem_get(key)
-        if engine is not None:
-            return engine
-        with self._flight.acquire(key):
-            engine = self._mem_get(key)
-            if engine is not None:
-                return engine
-            engine = self._load_disk(key)
-            if engine is None:
-                self._count("builds")
-                engine = builder()
-                self._store_disk(key, engine)
-            self._mem_put(key, engine)
-            return engine
+        return self._mem.get_or_build(
+            key, lambda: self._load_or_build(key, builder))[0]
+
+    def _load_or_build(self, key: EngineKey, builder: Callable[[], Any]) -> Any:
+        engine = self._load_disk(key)
+        if engine is None:
+            self._count("builds")
+            engine = builder()
+            self._store_disk(key, engine)
+        return engine

@@ -23,7 +23,10 @@ Two bug classes are covered:
   guarded path returns exact results under the same schedule.
 """
 
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,7 +36,16 @@ import repro.functional as F
 from repro import nn
 from repro.fx import GraphModule, symbolic_trace
 from repro.fx import compile as fx_compile
-from repro.fx.concurrency import KeyedMutex
+from repro.fx.analysis import (
+    Analysis,
+    AnalysisContext,
+    analysis_cache_info,
+    clear_analysis_cache,
+    register_analysis,
+)
+from repro.fx.analysis import engine as analysis_engine
+from repro.fx.concurrency import KeyedMutex, Memo
+from repro.fx.graph import Graph
 from repro.fx.graph_module import clear_codegen_cache, codegen_cache_info
 from repro.fx.backends import to_backend
 from repro.fx.backends.lowering import (
@@ -118,6 +130,86 @@ class TestKeyedMutex:
         _run_threads(2, worker)
 
 
+class TestMemo:
+    def test_lru_order(self):
+        memo = Memo(2)
+        memo.store("a", 1)
+        memo.store("b", 2)
+        assert memo.lookup("a") == 1  # "a" becomes most recently used
+        memo.store("c", 3)
+        assert list(memo._entries) == ["a", "c"]
+        assert memo.lookup("b") is None
+        assert memo.get_or_build("a", lambda: 0) == (1, True)
+
+    def test_eviction_callback(self):
+        evicted = []
+        memo = Memo(1, on_evict=evicted.append)
+        memo.store("a", 1)
+        memo.store("b", 2)  # over the bound: "a" leaves
+        assert evicted == [1]
+        memo.store("b", 3)  # replaced by a different value
+        assert evicted == [1, 2]
+        memo.store("b", 3)  # same value again: nothing leaves
+        assert evicted == [1, 2]
+        memo.clear()
+        assert evicted == [1, 2, 3]
+
+    def test_clear_resets_counters(self):
+        memo = Memo(4)
+        memo.lookup("k")
+        assert memo.get_or_build("k", lambda: None) == (None, False)
+        assert memo.get_or_build("k", lambda: 1) == (None, True)
+        assert memo.info() == {"hits": 1, "misses": 2, "size": 1,
+                               "maxsize": 4}
+        memo.clear()
+        assert memo.info() == {"hits": 0, "misses": 0, "size": 0,
+                               "maxsize": 4}
+
+    def test_failed_build_stores_nothing(self):
+        memo = Memo(4)
+
+        def boom():
+            raise ValueError("build failed")
+
+        with pytest.raises(ValueError):
+            memo.get_or_build("k", boom)
+        assert len(memo) == 0
+        assert memo.get_or_build("k", lambda: 7) == (7, False)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_resets_locks(self):
+        """A child forked while a parent thread holds the memo's lock and
+        a per-key build lock must get fresh locks, not the held ones."""
+        memo = Memo(4)
+        memo.store("k", 1)
+        with memo._lock, memo._flight.acquire("x"):
+            pid = os.fork()
+            if pid == 0:  # child: exits without returning to pytest
+                signal.alarm(5)  # a deadlocked child dies, not hangs
+                ok = memo.lookup("k") == 1 \
+                    and memo.get_or_build("x", lambda: 2) == (2, False)
+                os._exit(0 if ok else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+    def test_vm_and_partition_memos_stay_bounded(self):
+        """Compiling more distinct graphs than the bound leaves at most
+        the bound in each memo (both grew without limit before)."""
+        clear_vm_cache()
+        clear_subgraph_cache()
+        try:
+            for _ in range(300):
+                gm = symbolic_trace(
+                    nn.Sequential(nn.Linear(2, 2), nn.ReLU()).eval())
+                compile_to_vm(gm)
+                to_backend(gm, "trt")
+            assert vm_cache_info()["size"] <= 256
+            assert subgraph_cache_info()["size"] <= 256
+        finally:
+            clear_vm_cache()
+            clear_subgraph_cache()
+
+
 class TestVMMemoSingleFlight:
     def test_concurrent_same_graph_compiles_once(self):
         """Revert note: without ``_COMPILE_MUTEX``/``_CACHE_LOCK`` in
@@ -184,7 +276,65 @@ class TestSubgraphMemoSingleFlight:
             assert np.allclose(r(x).data, expected, rtol=1e-3, atol=1e-5)
 
 
+class TestAnalysisMemoSingleFlight:
+    def test_concurrent_same_graph_computes_once(self):
+        """Every thread asks for one analysis of one graph; the compute
+        sleeps so that, without single-flight, all of them would miss."""
+        computes = []
+
+        @register_analysis
+        class Slow(Analysis):
+            name = "test-slow-count"
+
+            def compute(self, gm, ctx):
+                computes.append(1)
+                time.sleep(0.05)
+                return [len(gm.graph)]
+
+        try:
+            clear_analysis_cache()
+            gm = symbolic_trace(MLP().eval())
+            results = [None] * N_THREADS
+
+            def worker(i):
+                results[i] = AnalysisContext(gm).get("test-slow-count")
+
+            _run_threads(N_THREADS, worker)
+            info = analysis_cache_info()
+            assert len(computes) == 1
+            assert info["misses"] == info["size"] == 1
+            assert info["hits"] + info["misses"] == N_THREADS
+            assert all(r is results[0] for r in results)
+        finally:
+            analysis_engine._REGISTRY.pop("test-slow-count")
+            clear_analysis_cache()
+
+
 class TestCodegenCacheConcurrent:
+    def test_concurrent_same_graph_compiles_once(self, monkeypatch):
+        """Codegen is slowed down so that, without single-flight, every
+        racing ``recompile()`` would miss and compile its own forward."""
+        gm = symbolic_trace(MLP().eval())
+        python_code = Graph.python_code
+
+        def slow_python_code(self, *args, **kwargs):
+            time.sleep(0.05)
+            return python_code(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "python_code", slow_python_code)
+        clear_codegen_cache()
+        forwards = [None] * N_THREADS
+
+        def worker(i):
+            gm.recompile()
+            forwards[i] = gm.forward.__func__
+
+        _run_threads(N_THREADS, worker)
+        info = codegen_cache_info()
+        assert info["misses"] == info["size"] == 1
+        assert info["hits"] + info["misses"] == N_THREADS
+        assert all(f is forwards[0] for f in forwards)
+
     def test_counters_and_entries_stay_consistent(self):
         clear_codegen_cache()
         repro.manual_seed(11)
