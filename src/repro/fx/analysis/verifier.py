@@ -58,6 +58,10 @@ class VerificationError(Exception):
         self.diagnostics = tuple(diagnostics)
 
 
+def _context(gm: GraphModule, graph_hash: Optional[str]) -> AnalysisContext:
+    return AnalysisContext(gm, cache=bool(graph_hash), graph_hash=graph_hash)
+
+
 # A snapshot is deliberately plain data — two sorted tuples — so cache
 # layers can pickle it and `adopt` it without touching analysis code.
 Snapshot = tuple[tuple[tuple[tuple[str, int, str, str], int], ...],
@@ -102,8 +106,12 @@ class PassVerifier:
     def snapshot(self, gm: GraphModule, *,
                  graph_hash: Optional[str] = None) -> Snapshot:
         """Analyze *gm* and reduce it to the two fingerprint multisets
-        the invariants compare."""
-        ctx = AnalysisContext(gm, graph_hash=graph_hash)
+        the invariants compare.
+
+        The analyses use the shared result cache only under a caller's
+        *graph_hash*; without one they run uncached, since hashing the
+        module (its weights included) costs more than analyzing it."""
+        ctx = _context(gm, graph_hash)
         report = lint_graph(gm, rules=self.rules, ctx=ctx)
         errors = Counter(
             d.fingerprint for d in report.diagnostics
@@ -174,7 +182,7 @@ class PassVerifier:
         base_errors = Counter(dict(self._baseline[0]))
         base_impure = Counter(self._baseline[1])
 
-        ctx = AnalysisContext(gm, graph_hash=graph_hash)
+        ctx = _context(gm, graph_hash)
         report = lint_graph(gm, rules=self.rules, ctx=ctx)
         cur_errors = Counter(
             d.fingerprint for d in report.diagnostics

@@ -14,13 +14,21 @@ already happened at whole-graph scope where example-input shapes are
 known.  It is deliberately *not* cacheable: the result is the
 freshly-transformed module, and callers own it exclusively (the
 ``fx.compile`` no-mutation contract).
+
+The transform cache still covers the whole pipeline: the four
+shape-specialized stages are closures over the example inputs, and each
+carries a ``cache_token`` naming what it captured (the inputs' shapes,
+dtypes and non-tensor values), so every stage has a stable identity and
+the pipeline is one cached run.  A warm compile replays it with one
+content hash and one unpickle.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Optional, Sequence
 
 from ...nn import Module
+from ...tensor import Tensor
 from ..graph_module import GraphModule
 from ..node import Node
 from ..passes import (
@@ -29,13 +37,33 @@ from ..passes import (
     fold_constants,
     fuse_conv_bn,
 )
-from ..passes.memory_planner import MemoryPlan, plan_memory
+from ..passes import pointwise_fuser
+from ..passes.memory_planner import plan_memory
 from ..passes.pointwise_fuser import fuse_pointwise
 from ..passes.shape_prop import ShapeProp
 from ..rules.engine import apply_default_rules
 from .base import Backend
 
 __all__ = ["NumpyBackend"]
+
+_SCALARS = (type(None), bool, int, float, complex, str)
+
+
+def _inputs_token(value: Any) -> Optional[str]:
+    """What a shape-specialized stage depends on in *value*: the shapes
+    and dtypes of its tensors and the reprs of its scalars.  ``None``
+    for anything else — such inputs leave the stages uncached."""
+    if isinstance(value, Tensor):
+        return f"tensor{tuple(value.shape)}:{value.dtype}"
+    if isinstance(value, _SCALARS):
+        return f"{type(value).__name__}:{value!r}"
+    if isinstance(value, dict):
+        value = tuple(value.items())
+    if isinstance(value, (tuple, list)):
+        parts = [_inputs_token(v) for v in value]
+        if None not in parts:
+            return f"{type(value).__name__}({','.join(parts)})"
+    return None
 
 
 class NumpyBackend(Backend):
@@ -51,8 +79,10 @@ class NumpyBackend(Backend):
             ``repro.fx.rules`` stdlib, applied to fixpoint with a
             per-firing verifier).
 
-    After :func:`~repro.fx.backends.to_backend` runs, ``plans`` holds the
-    :class:`~repro.fx.passes.memory_planner.MemoryPlan` if one was made.
+    The memory-planning stage leaves its
+    :class:`~repro.fx.passes.memory_planner.MemoryPlan` on the module as
+    ``memory_plan``, so the plan travels with the module through the
+    transform cache.
     """
 
     name = "numpy"
@@ -66,7 +96,6 @@ class NumpyBackend(Backend):
         self.fuse = fuse
         self.memory_planning = memory_planning
         self.rules = rules
-        self.plans: list[MemoryPlan] = []
 
     def is_node_supported(self, node: Node, modules) -> bool:
         # The Interpreter runs the full substrate; everything is fair game.
@@ -82,10 +111,8 @@ class NumpyBackend(Backend):
             ShapeProp(g).propagate(*example_inputs)
 
         def shape_refresh(g: GraphModule) -> None:
-            # Cached cleanup stages replay modules pickled on an *earlier*
-            # compile, whose metadata may describe different example
-            # shapes (meta is not part of the structural hash).  Re-stamp
-            # from the current inputs so fusion never specializes on
+            # The rewrite stages create and replace nodes; re-stamp every
+            # node's metadata so fusion never specializes on missing or
             # stale shapes.
             ShapeProp(g).propagate(*example_inputs)
 
@@ -93,7 +120,14 @@ class NumpyBackend(Backend):
             return fuse_pointwise(g)
 
         def memory_plan(g: GraphModule) -> None:
-            self.plans.append(plan_memory(g))
+            g.memory_plan = plan_memory(g)
+
+        token = _inputs_token(example_inputs)
+        if token is not None:
+            for stage in (shape_prop, shape_refresh, memory_plan):
+                stage.cache_token = token
+            pointwise_fuse.cache_token = \
+                f"{token};registry={pointwise_fuser._registry_version}"
 
         stages: list = []
         if have_inputs:
@@ -104,8 +138,6 @@ class NumpyBackend(Backend):
             ("const_fold", fold_constants),
         ]
         if self.rules:
-            # Module-level pass: the transform cache keys it by qualname,
-            # so warm recompiles replay the whole rule stage cache-hit.
             stages.append(("rules", apply_default_rules))
         if not gm.training:
             # fuse_conv_bn refuses training-mode modules (running stats

@@ -90,7 +90,7 @@ def effect_mask(gm: GraphModule) -> set:
     compiling a view whose underlying storage is written elsewhere, or
     compiling the write itself, would silently decouple the two.
     """
-    ctx = analyze(gm, ["purity"])
+    ctx = analyze(gm, ["purity"], cache=False)  # cheaper than a content hash
     purity = ctx.get("purity").view(gm.graph)
     nodes = [n for n in gm.graph.nodes]
 

@@ -189,7 +189,7 @@ def compile(  # noqa: A001 - mirrors torch.compile
         nodes_after=breport.nodes_after,
         fused_regions=fused_regions,
         fused_ops=fused_ops,
-        memory=backend.plans[0] if backend.plans else None,
+        memory=getattr(out, "memory_plan", None),
         records=breport.records,
         total_time=breport.total_time,
     )

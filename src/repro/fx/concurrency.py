@@ -118,11 +118,15 @@ class Memo:
     """A bounded LRU memo with single-flight builds.
 
     Args:
-        maxsize: the entry bound; storing past it evicts the least
-            recently used entry.
-        on_evict: called with each value that leaves the memo — by the
+        maxsize: the entry bound (``None``: none); storing past it
+            evicts the least recently used entry.
+        on_evict: called with each value that leaves the memo — by an
             LRU bound, by :meth:`clear`, or by a :meth:`store` that
             replaces it with a different value.  Runs outside the lock.
+        max_bytes, sizeof: an optional second LRU bound on the summed
+            ``sizeof(value)`` of the resident entries, kept in
+            :attr:`nbytes`.  A value larger than the bound on its own is
+            evicted as soon as it is stored.
 
     ``hits`` and ``misses`` count lookups: every :meth:`lookup` and every
     :meth:`get_or_build` call counts exactly one of the two, and
@@ -131,9 +135,14 @@ class Memo:
     after ``fork``.
     """
 
-    def __init__(self, maxsize: int,
-                 on_evict: Optional[Callable[[Any], None]] = None) -> None:
+    def __init__(self, maxsize: Optional[int],
+                 on_evict: Optional[Callable[[Any], None]] = None, *,
+                 max_bytes: Optional[int] = None,
+                 sizeof: Callable[[Any], int] = lambda value: 0) -> None:
         self.maxsize = maxsize
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._sizeof = sizeof
         self._on_evict = on_evict
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.Lock()
@@ -154,11 +163,18 @@ class Memo:
     def _put(self, key: Any, value: Any) -> List[Any]:
         evicted = []
         old = self._entries.pop(key, _MISSING)
-        if old is not _MISSING and old is not value:
-            evicted.append(old)
+        if old is not _MISSING:
+            self.nbytes -= self._sizeof(old)
+            if old is not value:
+                evicted.append(old)
         self._entries[key] = value
-        while len(self._entries) > self.maxsize:
-            evicted.append(self._entries.popitem(last=False)[1])
+        self.nbytes += self._sizeof(value)
+        while self._entries and (
+                (self.maxsize is not None and len(self._entries) > self.maxsize)
+                or (self.max_bytes is not None and self.nbytes > self.max_bytes)):
+            old = self._entries.popitem(last=False)[1]
+            self.nbytes -= self._sizeof(old)
+            evicted.append(old)
         return evicted
 
     def _evict(self, values: List[Any]) -> None:
@@ -211,6 +227,7 @@ class Memo:
         with self._lock:
             evicted = list(self._entries.values())
             self._entries.clear()
+            self.nbytes = 0
             self.hits = 0
             self.misses = 0
         self._evict(evicted)

@@ -19,6 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional, TYPE_CHECKING
 
+import numpy as np
+
 from .node import Node, Target, map_arg, map_aggregate, BASE_ARGUMENT_TYPES
 
 if TYPE_CHECKING:
@@ -601,7 +603,9 @@ class Graph:
 
             if isinstance(v, Tensor):
                 feed(f"tensor:{tuple(v.shape)}:{v.dtype}")
-                h.update(v.data.tobytes())
+                # The C-order bytes tobytes() would copy out, without the
+                # copy when the array is already contiguous.
+                h.update(np.ascontiguousarray(v.data).data)
             elif isinstance(v, BASE_ARGUMENT_TYPES):
                 feed(f"{type(v).__name__}:{v!r}")
             else:

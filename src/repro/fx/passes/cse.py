@@ -100,7 +100,8 @@ def eliminate_common_subexpressions(
     eligible = {"call_function", "call_method", "get_attr"}
     if dedupe_modules:
         eligible.add("call_module")
-    purity = AnalysisContext(gm).get("purity").view(gm.graph)
+    # Uncached: one sweep is cheaper than the content hash a cache key needs.
+    purity = AnalysisContext(gm, cache=False).get("purity").view(gm.graph)
     table: dict[Any, Node] = {}
     removed = 0
     for node in list(gm.graph.nodes):

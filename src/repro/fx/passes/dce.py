@@ -18,7 +18,8 @@ __all__ = ["eliminate_dead_code"]
 def eliminate_dead_code(gm: GraphModule) -> int:
     """Remove unused nodes from ``gm.graph``; returns how many were removed."""
     before = len(gm.graph)
-    purity = AnalysisContext(gm).get("purity").view(gm.graph)
+    # Uncached: one sweep is cheaper than the content hash a cache key needs.
+    purity = AnalysisContext(gm, cache=False).get("purity").view(gm.graph)
     changed = gm.graph.eliminate_dead_code(purity.is_impure)
     if changed:
         gm.recompile()

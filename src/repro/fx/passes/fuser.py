@@ -25,6 +25,14 @@ from ..tracer import symbolic_trace
 __all__ = ["fuse_conv_bn", "fuse_conv_bn_weights"]
 
 
+class _UninitializedConv2d(Conv2d):
+    """Builds as a Conv2d but skips the random init (and its RNG draws):
+    the fused weights overwrite it at once."""
+
+    def reset_parameters(self) -> None:
+        pass
+
+
 def fuse_conv_bn_weights(conv: Conv2d, bn: BatchNorm2d) -> Conv2d:
     """Return a new Conv2d equivalent to ``bn(conv(x))`` in eval mode."""
     if bn.running_mean is None or bn.running_var is None:
@@ -37,11 +45,12 @@ def fuse_conv_bn_weights(conv: Conv2d, bn: BatchNorm2d) -> Conv2d:
     beta = bn.bias.data if bn.bias is not None else np.zeros_like(mean)
     scale = gamma / np.sqrt(var + bn.eps)
 
-    fused = Conv2d(
+    fused = _UninitializedConv2d(
         conv.in_channels, conv.out_channels, conv.kernel_size,
         stride=conv.stride, padding=conv.padding, dilation=conv.dilation,
         groups=conv.groups, bias=True,
     )
+    fused.__class__ = Conv2d
     fused.weight = Parameter((w * scale.reshape(-1, 1, 1, 1)).astype(w.dtype))
     fused.bias = Parameter(((b - mean) * scale + beta).astype(w.dtype))
     return fused

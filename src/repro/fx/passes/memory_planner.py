@@ -131,7 +131,8 @@ class MemoryPlan:
         peak_before: peak simultaneously-live intermediate bytes had every
             value received a private allocation.
         peak_after: same peak with planned values sharing arena slots.
-        arena: the backing :class:`Arena`.
+        arena: the backing :class:`Arena` (not compared: two plans
+            are equal when they describe the same layout).
     """
 
     planned: int
@@ -140,7 +141,7 @@ class MemoryPlan:
     arena_nbytes: int
     peak_before: int
     peak_after: int
-    arena: Optional[Arena] = field(default=None, repr=False)
+    arena: Optional[Arena] = field(default=None, repr=False, compare=False)
 
     def format(self) -> str:
         saved = self.peak_before - self.peak_after
@@ -179,8 +180,9 @@ def plan_memory(gm: GraphModule) -> MemoryPlan:
         n.meta.pop("arena_slot", None)
 
     # May-alias, alias-extended liveness, and escape facts all come from
-    # the shared analysis layer (cached across consumers of this graph).
-    alias = AnalysisContext(gm).get("alias").view(graph)
+    # the shared analysis layer (uncached: computing them is cheaper than
+    # the content hash a cache key needs).
+    alias = AnalysisContext(gm, cache=False).get("alias").view(graph)
     extended_last = {n: alias.extended_last(n) for n in nodes}
     escapes = alias.escaping_nodes
 

@@ -15,23 +15,36 @@ cannot:
   three passes later;
 * **error context** — any exception is re-raised as a :class:`PassError`
   naming the failing pass and its position in the pipeline;
-* **transform caching** — each pass's input is fingerprinted with
-  :meth:`Graph.structural_hash` (attribute values included, so folded
-  weights key correctly); a ``(pass identity, input-hash)`` pair seen
-  before skips the pass and replays the cached result instead.
+* **transform caching** — each maximal run of consecutive cacheable
+  passes is one cache entry, keyed by the run's pass identities plus
+  one :meth:`Graph.structural_hash` of the run's input (attribute values
+  included, so folded weights key correctly).  A key seen before skips
+  the whole run: one unpickle replaces every pass in it.
+
+A run costs one content hash, and a miss one ``pickle.dumps`` of the
+run's output: no intermediate module is ever hashed or pickled.  The
+entry also stores each pass's node count, lint status and verifier
+snapshot, so a hit replays the per-pass records and verifies by
+snapshot comparison without re-analyzing any graph.  A hit is
+re-linted, or re-verified as a whole, only when the entry was made
+under a different lint or verifier configuration.
 
 Cached results are stored as pickle bytes and replayed by unpickling, so
-a hit can never alias the module another pipeline run produced; the
-unpickle path itself is cheap because :meth:`GraphModule.recompile` hits
-the structural-hash codegen cache.  Caching is strictly best-effort and
-falls back to just running the pass whenever a cache entry could be
-wrong later: passes whose module fails to pickle run uncached, as do
-passes whose *callable* has no stable identity (lambdas, closures, bound
-methods — their only identity is ``id()``, which garbage collection can
-recycle) and graphs whose hash would need an ``id()`` fallback token
-(see :class:`~repro.fx.graph.UnstableHashError`).  The cache key is the
-pass's resolvable ``module.qualname`` — never its display name — so two
-different passes that happen to share a name can't collide.
+a hit can never alias the module another pipeline run produced.
+Caching is strictly best-effort and falls back to just running the
+passes whenever a cache entry could be wrong later: runs whose output
+fails to pickle are not stored, graphs whose hash would need an
+``id()`` fallback token run uncached (see
+:class:`~repro.fx.graph.UnstableHashError`), and passes whose
+*callable* has no stable identity run outside every run, uncached.  A
+pass's identity is its resolvable ``module.qualname`` — never its
+display name — so two different passes that happen to share a name
+can't collide.  Lambdas, bound methods and callable instances have only
+``id()`` identity, which garbage collection can recycle.  A closure may
+still be cached by carrying a ``cache_token`` attribute: a string that
+covers everything the closure captured (the numpy backend's
+shape-specialized stages token their example inputs' shapes and
+dtypes), combined with its qualname.
 """
 
 from __future__ import annotations
@@ -39,6 +52,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Any, Callable, Optional, Sequence, Union
 
 from ..concurrency import Memo
@@ -51,6 +65,7 @@ __all__ = [
     "PassManager",
     "PassManagerResult",
     "PassRecord",
+    "TRANSFORM_CACHE_MAX_BYTES",
     "TransformCache",
     "Unchanged",
     "shared_transform_cache",
@@ -66,12 +81,12 @@ class PassError(RuntimeError):
 class Unchanged:
     """Wrapper a pass may return to certify it did not modify the module.
 
-    ``PassManager`` then skips the post-pass structural hash, lint,
-    verification, and cache store for that stage — on large modules the
-    hash alone (it covers parameter bytes) can dwarf a no-op pass.  Only
-    return this when *nothing* observable changed: graph topology, node
-    metadata, and module state all carry over as-is, so every invariant
-    established for the pass's input still holds for its output.
+    ``PassManager`` then skips the post-pass lint and verification for
+    that stage, and a cached run in which every pass certified a no-op
+    is not stored.  Only return this when *nothing* observable changed:
+    graph topology, node metadata, and module state all carry over
+    as-is, so every invariant established for the pass's input still
+    holds for its output.
     """
 
     __slots__ = ("graph_module",)
@@ -82,7 +97,12 @@ class Unchanged:
 
 @dataclass
 class PassRecord:
-    """Metrics for one pass execution within a pipeline run."""
+    """Metrics for one pass execution within a pipeline run.
+
+    ``input_hash`` is the content hash the transform cache keyed on; only
+    the first pass of a cached run has one (no intermediate module is
+    hashed).  The wall time of a cache hit is booked on that first pass.
+    """
 
     name: str
     wall_time: float
@@ -92,7 +112,6 @@ class PassRecord:
     linted: bool = False
     verified: bool = False
     input_hash: str = ""
-    output_hash: str = ""
 
     @property
     def node_delta(self) -> int:
@@ -142,44 +161,51 @@ class PassManagerResult:
 
 @dataclass
 class CacheEntry:
-    """One memoized pass result: the output module as pickle bytes plus
-    enough metadata (hash, node count, whether it passed ``lint``, and
-    the pass verifier's snapshot of its diagnostics) to chain further
-    lookups without unpickling it.
+    """One memoized run of passes: the run's output module as pickle
+    bytes, each pass's output node count, and whether every output
+    passed ``lint``.
 
-    ``verify_snapshot`` is only meaningful under the verifier
-    configuration recorded in ``verifier_key`` — a manager running a
-    differently-configured verifier re-verifies the materialized module
-    instead (the same pattern as ``linted``)."""
+    ``verification`` is ``(verifier config key, per-pass snapshots)`` —
+    a snapshot is ``None`` for a pass that certified :class:`Unchanged`
+    — or ``None`` when no verifier ran.  The snapshots are only
+    meaningful under that configuration: a manager running a
+    differently-configured verifier re-verifies the materialized output
+    instead (the same pattern as ``linted``).  It is one attribute so a
+    reader never pairs one configuration's key with another's
+    snapshots."""
 
-    output_hash: str
     payload: bytes
-    node_count: int
+    node_counts: tuple[int, ...]
     linted: bool = False
-    verify_snapshot: Any = None
-    verifier_key: Any = None
+    verification: Optional[tuple[Any, tuple]] = None
+
+
+#: Resident payload bound of every :class:`TransformCache`.  A ResNet-50
+#: pipeline result pickles to ~98 MB, so about ten of them fit.
+TRANSFORM_CACHE_MAX_BYTES = 1 << 30
 
 
 class TransformCache(Memo):
-    """LRU cache of pass results keyed by ``(pass identity token, input
-    hash)``, where the identity token is the pass callable's resolvable
+    """LRU cache of pass-run results keyed by ``(pass identity tokens,
+    input hash)``, where a pass's identity token is its resolvable
     ``module.qualname`` (see ``_pass_cache_token``) — passes without a
     stable identity are never cached, so same-named passes can't share
     entries.
 
-    Values are :class:`CacheEntry` objects.  Replay unpickles a fresh
-    module, so cached results are never shared mutable state — and a run
-    of consecutive hits is chained through the stored output hashes, so
-    intermediate results are never materialized at all.
+    Values are :class:`CacheEntry` objects, bounded by their summed
+    payload bytes (:data:`TRANSFORM_CACHE_MAX_BYTES`; resident total in
+    ``nbytes``) and, if *maxsize* is given, by count.  Replay unpickles
+    a fresh module, so cached results are never shared mutable state.
 
     Thread-safe as a :class:`~repro.fx.concurrency.Memo`.  Entries
     themselves carry pickle bytes (immutable) plus lazily-promoted
-    ``linted``/``verify_snapshot`` fields whose writes are idempotent
+    ``linted``/``verification`` fields whose writes are idempotent
     (recomputed from the same payload), so entry-level races are benign.
     """
 
-    def __init__(self, maxsize: int = 1024):
-        super().__init__(maxsize)
+    def __init__(self, maxsize: Optional[int] = None):
+        super().__init__(maxsize, max_bytes=TRANSFORM_CACHE_MAX_BYTES,
+                         sizeof=lambda entry: len(entry.payload))
 
 
 _SHARED_CACHE = TransformCache()
@@ -201,14 +227,20 @@ def _pass_cache_token(fn: Pass) -> Optional[str]:
     """Stable cache identity for a pass callable, or ``None`` if it has
     none.
 
-    Only callables that re-resolve from their module to the same object
+    Callables that re-resolve from their module to the same object
     (``f:mod.qualname`` tokens) qualify: the token survives garbage
     collection and distinguishes same-named functions from different
-    modules.  Lambdas, closures, bound methods and callable instances
-    only have ``id()`` identity, which GC can hand to a different object
-    later — caching on it could replay another pass's result — so they
-    return ``None`` and always run uncached.
+    modules.  So does a function carrying a ``cache_token`` string,
+    which must cover everything the function captured.  Other lambdas,
+    closures, bound methods and callable instances only have ``id()``
+    identity, which GC can hand to a different object later — caching
+    on it could replay another pass's result — so they return ``None``
+    and always run uncached.
     """
+    token = getattr(fn, "cache_token", None)
+    if isinstance(token, str):
+        return (f"t:{getattr(fn, '__module__', '')}."
+                f"{getattr(fn, '__qualname__', '')}:{token}")
     token = _hash_token_for_object(fn)
     if token.startswith("obj:"):
         return None
@@ -228,9 +260,10 @@ class PassManager:
         cache: ``True`` (default) to use the process-wide
             :func:`shared_transform_cache`, ``False``/``None`` to disable
             caching, or a :class:`TransformCache` instance for an
-            isolated cache.  Entries are keyed by the pass callable's
-            stable ``module.qualname`` identity, so passes that lack one
-            (lambdas, closures, bound methods) always run uncached —
+            isolated cache.  Each maximal run of consecutive passes with
+            a stable identity (see the module docstring) is one entry;
+            passes that lack one (lambdas, closures without a
+            ``cache_token``, bound methods) always run uncached —
             regardless of any display name given via a ``(name, fn)``
             pair.
         verifier: an invariant checker — typically a
@@ -285,107 +318,144 @@ class PassManager:
         """Run every pass in order; returns the transformed module plus
         per-pass records.  Also stashed on ``self.last_result``.
 
-        Cache replay is *lazy*: while consecutive passes keep hitting, the
-        pipeline only chains the stored output hashes and never unpickles
-        the intermediate modules — a fully-cached re-run costs one input
-        hash, one lookup per pass, and a single unpickle at the end.
+        A fully-cached re-run of a pipeline whose passes all have stable
+        identities costs one input hash, one lookup and one unpickle.
         """
         if not isinstance(gm, GraphModule):
             raise TypeError(f"PassManager.run expects a GraphModule, got {type(gm).__name__}")
         records: list[PassRecord] = []
         pipeline_start = time.perf_counter()
 
-        # The pipeline's current value: a live module, or — after a cache
-        # hit — just the entry's pickle bytes plus (hash, node count).
-        current: Union[GraphModule, bytes] = gm
-        current_hash: Optional[str] = None
-        current_nodes = len(gm.graph)
+        # Maximal runs of consecutive cacheable passes (tokens all set),
+        # separated by runs of uncacheable ones (tokens all None).
+        items = [(index, name, fn,
+                  _pass_cache_token(fn) if self.cache is not None else None)
+                 for index, (name, fn) in enumerate(self.passes)]
+        segments = [list(run) for _, run in groupby(
+            items, key=lambda item: item[3] is not None)]
 
+        input_hash: Optional[str] = None
         if self.verifier is not None:
-            current_hash = self._hash(gm)
-            self.verifier.before_pipeline(gm, graph_hash=current_hash or None)
+            if segments and segments[0][0][3] is not None:
+                # The first run's cache key and the verifier's baseline
+                # analysis share one hash.
+                input_hash = self._hash(gm)
+            self.verifier.before_pipeline(gm, graph_hash=input_hash or None)
 
-        for index, (name, fn) in enumerate(self.passes):
-            start = time.perf_counter()
-            if current_hash is None:
-                assert isinstance(current, GraphModule)
-                current_hash = self._hash(current)
-            cache_token = _pass_cache_token(fn) if self.cache is not None else None
-
-            if self.cache is not None and current_hash and cache_token:
-                entry = self.cache.lookup((cache_token, current_hash))
-                if entry is not None:
-                    hit: Union[GraphModule, bytes] = entry.payload
-                    if self.lint_after_each and not entry.linted:
-                        # The entry was produced by a non-linting manager;
-                        # validate it now so a hit never weakens this
-                        # manager's lint guarantee.
-                        hit = self._materialize(entry.payload)
-                        try:
-                            hit.graph.lint()
-                        except Exception as exc:
-                            raise PassError(
-                                f"pass {index} ({name!r}) cached result is an "
-                                f"invalid graph (lint failed): "
-                                f"{type(exc).__name__}: {exc}"
-                            ) from exc
-                        entry.linted = True
-                    verified = False
-                    if self.verifier is not None:
-                        vkey = self.verifier.config_key()
-                        if entry.verify_snapshot is not None \
-                                and entry.verifier_key == vkey:
-                            # Verify by snapshot comparison — no unpickle,
-                            # no re-analysis.
-                            self.verifier.advance(name, entry.verify_snapshot)
-                        else:
-                            # Entry from an unverified (or differently
-                            # configured) run: verify the materialized
-                            # module once and remember the snapshot.
-                            hit = self._materialize(hit)
-                            entry.verify_snapshot = self.verifier.after_pass(
-                                name, hit, graph_hash=entry.output_hash or None)
-                            entry.verifier_key = vkey
-                        verified = True
-                    records.append(PassRecord(
-                        name=name,
-                        wall_time=time.perf_counter() - start,
-                        nodes_before=current_nodes,
-                        nodes_after=entry.node_count,
-                        cache_hit=True,
-                        linted=self.lint_after_each and entry.linted,
-                        verified=verified,
-                        input_hash=current_hash,
-                        output_hash=entry.output_hash,
-                    ))
-                    current = hit
-                    current_hash = entry.output_hash
-                    current_nodes = entry.node_count
-                    continue
-
-            gm = self._materialize(current)
-            gm, record = self._execute(index, name, fn, gm, current_hash,
-                                       cache_token, start)
-            records.append(record)
-            current, current_hash, current_nodes = gm, record.output_hash or None, len(gm.graph)
+        for segment in segments:
+            gm = self._run_segment(segment, gm, input_hash, records)
+            input_hash = None
 
         result = PassManagerResult(
-            self._materialize(current), records,
-            total_time=time.perf_counter() - pipeline_start)
+            gm, records, total_time=time.perf_counter() - pipeline_start)
         self.last_result = result
         return result
 
     # -- internals ---------------------------------------------------------------
 
-    @staticmethod
-    def _materialize(current: Union[GraphModule, bytes]) -> GraphModule:
-        if isinstance(current, bytes):
-            return pickle.loads(current)
-        return current
+    def _run_segment(self, segment: list, gm: GraphModule,
+                     input_hash: Optional[str],
+                     records: list[PassRecord]) -> GraphModule:
+        """Run one segment of ``(index, name, fn, token)`` items: from
+        the cache when every token is set and the key is stored, else
+        pass by pass, storing the output when the segment is cacheable."""
+        start = time.perf_counter()
+        nodes_before = len(gm.graph)
+        key = None
+        if segment[0][3] is not None:
+            if input_hash is None:
+                input_hash = self._hash(gm)
+            if input_hash:
+                key = (tuple(item[3] for item in segment), input_hash)
+                entry = self.cache.lookup(key)
+                if entry is not None:
+                    return self._replay(segment, entry, nodes_before,
+                                        input_hash, start, records)
+
+        first = len(records)
+        snapshots: list = []
+        changed = False
+        for index, name, fn, _token in segment:
+            gm, record, snapshot, did_change = self._execute(
+                index, name, fn, gm, start)
+            records.append(record)
+            snapshots.append(snapshot)
+            changed = changed or did_change
+            start = time.perf_counter()
+        records[first].input_hash = input_hash or ""
+
+        # A run that changed nothing is not worth an entry.
+        if key is not None and changed:
+            try:
+                payload = pickle.dumps(gm)
+            except Exception:
+                payload = None  # unpicklable output: this run stays uncached
+            if payload is not None:
+                run = records[first:]
+                self.cache.store(key, CacheEntry(
+                    payload, tuple(r.nodes_after for r in run),
+                    linted=self.lint_after_each,
+                    verification=(
+                        (self.verifier.config_key(), tuple(snapshots))
+                        if self.verifier is not None else None)))
+            records[-1].wall_time += time.perf_counter() - start
+        return gm
+
+    def _replay(self, segment: list, entry: CacheEntry, nodes_before: int,
+                input_hash: str, start: float,
+                records: list[PassRecord]) -> GraphModule:
+        """Materialize a cached run and replay its per-pass records."""
+        names = [item[1] for item in segment]
+        label = names[0] if len(names) == 1 else f"{names[0]}..{names[-1]}"
+        gm = pickle.loads(entry.payload)
+        if self.lint_after_each and not entry.linted:
+            # The entry was produced by a non-linting manager; validate it
+            # now so a hit never weakens this manager's lint guarantee.
+            try:
+                gm.graph.lint()
+            except Exception as exc:
+                raise PassError(
+                    f"pass {segment[0][0]} ({label!r}) cached result is an "
+                    f"invalid graph (lint failed): "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
+            entry.linted = True
+        snapshots: tuple = (None,) * len(names)
+        if self.verifier is not None:
+            vkey = self.verifier.config_key()
+            verification = entry.verification
+            if verification is not None and verification[0] == vkey:
+                # Verify by snapshot comparison — no re-analysis.
+                snapshots = verification[1]
+                for name, snapshot in zip(names, snapshots):
+                    if snapshot is not None:
+                        self.verifier.advance(name, snapshot)
+            else:
+                # Entry from an unverified (or differently configured)
+                # run: verify the run's output once, as a whole, and
+                # remember the snapshot.
+                snapshots = snapshots[:-1] + (
+                    self.verifier.after_pass(label, gm),)
+                entry.verification = (vkey, snapshots)
+        wall_time = time.perf_counter() - start
+        for i, name in enumerate(names):
+            records.append(PassRecord(
+                name=name,
+                wall_time=wall_time if i == 0 else 0.0,
+                nodes_before=entry.node_counts[i - 1] if i else nodes_before,
+                nodes_after=entry.node_counts[i],
+                cache_hit=True,
+                linted=self.lint_after_each and entry.linted,
+                verified=snapshots[i] is not None,
+                input_hash=input_hash if i == 0 else "",
+            ))
+        return gm
 
     def _execute(self, index: int, name: str, fn: Pass, gm: GraphModule,
-                 input_hash: Optional[str], cache_token: Optional[str],
-                 start: float) -> tuple[GraphModule, PassRecord]:
+                 start: float) -> tuple[GraphModule, PassRecord, Any, bool]:
+        """Run one pass; returns the current module, its record, the
+        verifier snapshot (or ``None``) and whether the pass changed
+        anything."""
         nodes_before = len(gm.graph)
         try:
             out = fn(gm)
@@ -395,21 +465,17 @@ class PassManager:
                 f"{nodes_before} nodes: {type(exc).__name__}: {exc}"
             ) from exc
         if isinstance(out, Unchanged):
-            # The pass certifies a no-op: the input's hash, lint status,
-            # and verifier baseline all remain valid, so skip the
-            # (potentially expensive) post-pass bookkeeping entirely.
+            # The pass certifies a no-op: the input's lint status and
+            # verifier baseline remain valid, so skip re-checking them.
             gm = out.graph_module
             return gm, PassRecord(
                 name=name,
                 wall_time=time.perf_counter() - start,
                 nodes_before=nodes_before,
                 nodes_after=len(gm.graph),
-                input_hash=input_hash or "",
-                output_hash=input_hash or "",
-            )
+            ), None, False
         if isinstance(out, GraphModule):
             gm = out
-        linted = False
         if self.lint_after_each:
             try:
                 gm.graph.lint()
@@ -418,45 +484,21 @@ class PassManager:
                     f"pass {index} ({name!r}) produced an invalid graph "
                     f"(lint failed): {type(exc).__name__}: {exc}"
                 ) from exc
-            linted = True
-        output_hash = self._hash(gm)
-
-        # Verify *before* caching: an output that regresses an invariant
-        # must never be stored for replay.  The verifier's exception
-        # propagates as-is — it already names the offending pass.
-        verified = False
-        snapshot: Any = None
+        # Verify before the run's output is stored: an output that
+        # regresses an invariant must never be cached for replay.  The
+        # verifier's exception propagates as-is — it already names the
+        # offending pass.
+        snapshot = None
         if self.verifier is not None:
-            snapshot = self.verifier.after_pass(
-                name, gm, graph_hash=output_hash or None)
-            verified = True
-
-        if self.cache is not None and input_hash and output_hash and cache_token:
-            try:
-                payload = pickle.dumps(gm)
-            except Exception:
-                payload = None  # unpicklable target: run this pass uncached
-            if payload is not None:
-                self.cache.store(
-                    (cache_token, input_hash),
-                    CacheEntry(output_hash, payload, len(gm.graph),
-                               linted=linted,
-                               verify_snapshot=snapshot,
-                               verifier_key=(self.verifier.config_key()
-                                             if verified else None)))
-
-        record = PassRecord(
+            snapshot = self.verifier.after_pass(name, gm)
+        return gm, PassRecord(
             name=name,
             wall_time=time.perf_counter() - start,
             nodes_before=nodes_before,
             nodes_after=len(gm.graph),
-            cache_hit=False,
-            linted=linted,
-            verified=verified,
-            input_hash=input_hash or "",
-            output_hash=output_hash,
-        )
-        return gm, record
+            linted=self.lint_after_each,
+            verified=snapshot is not None,
+        ), snapshot, True
 
     @staticmethod
     def _hash(gm: GraphModule) -> str:
@@ -467,4 +509,4 @@ class PassManager:
             return gm.graph.structural_hash(include_attrs=True,
                                             require_stable=True)
         except Exception:
-            return ""  # unhashable graph: disable caching for this stage
+            return ""  # unhashable graph: this run stays uncached

@@ -175,6 +175,9 @@ _SELU_ALPHA, _SELU_SCALE = 1.6732632423543772, 1.0507009873554805
 #: ``repro.functional`` / ``Tensor`` implementation expression-for-
 #: expression so fused results match eager bitwise.
 _REGISTRY: dict[str, OpDef] = {}
+#: Bumped by every :func:`register_pointwise_op`: cached fusion results
+#: made under an older registry must not be replayed.
+_registry_version = 0
 
 #: spelling -> (key, params) resolution, shared idiom with the declarative
 #: rule engine (:mod:`repro.fx.rules.patterns`).
@@ -207,7 +210,9 @@ def register_pointwise_op(opdef: OpDef, functions: tuple = (),
         modules: ``{module_type: extractor}`` where ``extractor(mod)``
             returns ``(key, params)`` for a ``call_module`` of that type.
     """
+    global _registry_version
     _REGISTRY[opdef.key] = opdef
+    _registry_version += 1
     extractors = dict(modules or {})
     _PATTERN_INDEX.add(OpPattern(
         key=opdef.key,

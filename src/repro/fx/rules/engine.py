@@ -33,17 +33,20 @@ __all__ = [
 
 class RuleContext:
     """Lazy, per-graph-state access to ``repro.fx.analysis`` results for
-    precondition predicates.  Backed by :func:`repro.fx.analysis.analyze`,
-    which memoizes on the graph's structural hash — so asking for the
-    same analysis across many candidate matches of one graph state costs
-    one computation."""
+    precondition predicates.  The engine keeps one context across the
+    candidate matches of one graph state and starts a fresh one after
+    each firing, so asking for the same analysis across those matches
+    costs one computation.  Results are not put in the shared cache: its
+    key would need a content hash of the module, weights included, which
+    costs more than the analysis."""
 
     def __init__(self, gm: GraphModule):
+        from ..analysis import AnalysisContext
         self.gm = gm
+        self._ctx = AnalysisContext(gm, cache=False)
 
     def analysis(self, name: str):
-        from ..analysis import analyze
-        return analyze(self.gm, (name,)).get(name)
+        return self._ctx.get(name)
 
 
 @dataclass
@@ -247,6 +250,7 @@ class RuleSet:
         matches = rule.matcher.find_matches(gm.graph, modules)
         if matches:
             replaced: dict[Node, Any] = {}
+            ctx = None
 
             def resolve(value):
                 while isinstance(value, Node) and value in replaced:
@@ -258,7 +262,7 @@ class RuleSet:
                     exhausted = True
                     break
                 if rule.preconditions:
-                    ctx = RuleContext(gm)
+                    ctx = ctx or RuleContext(gm)
                     if not all(p(gm, match, ctx) for p in rule.preconditions):
                         rejected += 1
                         continue
@@ -274,6 +278,7 @@ class RuleSet:
                         resolve=resolve, replaced=replaced,
                         propagate_meta=propagate_meta)
                 fired += 1
+                ctx = None  # the graph changed: its analyses are stale
                 if verifier is not None:
                     try:
                         gm.graph.lint()

@@ -7,8 +7,8 @@ arguments.  Three interception points record operations:
    (:mod:`repro.tensor.dispatch`), the substrate's ``__torch_function__``;
 2. methods and operators — via ``Proxy``'s duck typing and magic methods;
 3. module calls — by overriding the ``Module.__call__`` pathway
-   (:data:`repro.nn.module._MODULE_CALL_INTERCEPTOR`) for the duration of
-   the trace.
+   (:func:`repro.nn.module._swap_interceptor`) in the tracing thread for
+   the duration of the trace.
 
 The process is configurable through the :class:`Tracer` class (§5.2):
 override :meth:`Tracer.is_leaf_module` to control which modules stay
@@ -406,18 +406,16 @@ class Tracer(TracerBase):
                 self.create_proxy("placeholder", name, default, {}, name=name)
             )
 
-        interceptor_prev = _module_mod._MODULE_CALL_INTERCEPTOR
-
         def interceptor(mod: Module, args: tuple, kwargs: dict):
             return self.call_module(mod, mod.forward, args, kwargs)
 
-        _module_mod._MODULE_CALL_INTERCEPTOR = interceptor
+        interceptor_prev = _module_mod._swap_interceptor(interceptor)
         _ACTIVE_TRACERS.append(self)
         try:
             result = fn(*proxy_args)
         finally:
             _ACTIVE_TRACERS.pop()
-            _module_mod._MODULE_CALL_INTERCEPTOR = interceptor_prev
+            _module_mod._swap_interceptor(interceptor_prev)
 
         self.create_node("output", "output", (self.create_arg(result),), {})
         return self.graph

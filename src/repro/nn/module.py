@@ -6,16 +6,17 @@ while :class:`repro.fx.Graph` stays purely functional and reaches the state
 through ``call_module`` / ``get_attr`` nodes.
 
 Symbolic tracing hooks module invocation through
-:data:`_MODULE_CALL_INTERCEPTOR`: during a trace, ``fx.Tracer`` installs an
-interceptor so every ``module(x)`` call is routed to the tracer, which
-decides whether to emit a ``call_module`` node (leaf) or trace through the
-module's ``forward`` (non-leaf).  This mirrors how torch.fx "overrides
+:func:`_swap_interceptor`: during a trace, ``fx.Tracer`` installs an
+interceptor so every ``module(x)`` call in the tracing thread is routed
+to the tracer, which decides whether to emit a ``call_module`` node
+(leaf) or trace through the module's ``forward`` (non-leaf).  This mirrors how torch.fx "overrides
 PyTorch's Module abstraction to record calls to Modules" (§4.1).
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import OrderedDict
 from typing import Any, Callable, Iterator
 
@@ -24,9 +25,24 @@ from .parameter import Parameter
 
 __all__ = ["Module"]
 
-# Installed by fx.Tracer for the duration of a symbolic trace.  Signature:
-# (module, args, kwargs) -> result.  ``None`` means normal eager execution.
-_MODULE_CALL_INTERCEPTOR: Callable | None = None
+
+class _TraceState(threading.local):
+    """``interceptor`` is installed by fx.Tracer (or jit.trace) for the
+    duration of a trace.  Signature: (module, args, kwargs) -> result;
+    ``None`` means normal eager execution.  Per thread: modules another
+    thread runs during a trace (a serving worker) execute eagerly."""
+
+    interceptor: Callable | None = None
+
+
+_TRACE_STATE = _TraceState()
+
+
+def _swap_interceptor(interceptor: Callable | None) -> Callable | None:
+    """Install *interceptor* for this thread; returns the previous one."""
+    prev = _TRACE_STATE.interceptor
+    _TRACE_STATE.interceptor = interceptor
+    return prev
 
 
 class Module:
@@ -234,7 +250,7 @@ class Module:
         )
 
     def __call__(self, *args, **kwargs):
-        interceptor = _MODULE_CALL_INTERCEPTOR
+        interceptor = _TRACE_STATE.interceptor
         if interceptor is not None:
             return interceptor(self, args, kwargs)
         return self.forward(*args, **kwargs)

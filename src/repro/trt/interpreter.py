@@ -48,6 +48,23 @@ _ELEMENTWISE_FUNCTIONS: dict[Callable, str] = {
 _ELEMENTWISE_METHODS = {"relu", "sigmoid", "tanh", "neg"}
 _FLATTEN_TARGETS = {F.flatten}
 _ADD_TARGETS = {operator.add, F.add}
+_SCALAR_TYPES = (bool, int, float)
+
+
+def _add_operands(node: Node):
+    """``(tensor operands, scalar)`` of a supported add — two Nodes, or
+    one Node and one Python scalar (lowered as a kernel constant) — or
+    ``None`` when the backend cannot lower it (``alpha=``, other
+    immediates)."""
+    if node.kwargs or len(node.args) != 2:
+        return None
+    nodes = [a for a in node.args if isinstance(a, Node)]
+    scalars = [a for a in node.args if isinstance(a, _SCALAR_TYPES)]
+    if len(nodes) == 2:
+        return nodes, None
+    if len(nodes) == 1 and len(scalars) == 1:
+        return nodes, scalars[0]
+    return None
 
 
 def _is_relu_node(node: Node, modules: dict[str, Module]) -> bool:
@@ -74,9 +91,13 @@ def is_node_supported(modules: dict[str, Module], node: Node) -> bool:
              AdaptiveAvgPool2d, Flatten, Dropout) + tuple(_ELEMENTWISE_MODULES),
         )
     if node.op == "call_function":
-        return node.target in _ELEMENTWISE_FUNCTIONS or node.target in _ADD_TARGETS \
+        if node.target in _ADD_TARGETS:
+            return _add_operands(node) is not None
+        return node.target in _ELEMENTWISE_FUNCTIONS \
             or node.target in _FLATTEN_TARGETS
     if node.op == "call_method":
+        if node.target == "add":
+            return _add_operands(node) is not None
         if node.target in _ELEMENTWISE_METHODS or node.target == "flatten":
             return True
         if node.target in ("reshape", "view"):
@@ -255,7 +276,7 @@ class TRTInterpreter:
             )
         if node.op == "call_function":
             if node.target in _ADD_TARGETS:
-                return ops.build_add(fuse_relu=fuse_relu), [node.args[0], node.args[1]]
+                return self._translate_add(node, fuse_relu)
             kind = _ELEMENTWISE_FUNCTIONS.get(node.target)
             if kind is not None:
                 return ops.build_elementwise(kind), [node.args[0]]
@@ -272,7 +293,7 @@ class TRTInterpreter:
                 start = node.args[1] if len(node.args) > 1 else node.kwargs.get("start_dim", 0)
                 return ops.build_flatten(int(start)), [node.args[0]]
             if node.target == "add":
-                return ops.build_add(fuse_relu=fuse_relu), [node.args[0], node.args[1]]
+                return self._translate_add(node, fuse_relu)
             if node.target in ("reshape", "view") and all(
                 isinstance(a, int) for a in node.args[1:]
             ):
@@ -281,6 +302,16 @@ class TRTInterpreter:
                 f"unsupported method {node.target!r} at {node.name!r}"
             )
         raise UnsupportedOperatorError(f"unsupported op {node.op!r} at {node.name!r}")
+
+    def _translate_add(self, node: Node, fuse_relu: bool):
+        operands = _add_operands(node)
+        if operands is None:
+            raise UnsupportedOperatorError(
+                f"unsupported add {node.args!r} {node.kwargs!r} at {node.name!r}")
+        nodes, scalar = operands
+        if scalar is None:
+            return ops.build_add(fuse_relu=fuse_relu), nodes
+        return ops.build_add_scalar(scalar, fuse_relu=fuse_relu), nodes
 
     def _fetch_attr(self, target: str):
         obj: Any = self.gm

@@ -230,6 +230,18 @@ def build_add(fuse_relu: bool = False):
     return add
 
 
+def build_add_scalar(value, fuse_relu: bool = False):
+    """``x + value`` for a Python scalar *value*: numpy keeps the
+    tensor's dtype, exactly as the eager ``Tensor + scalar`` does."""
+    def add_scalar(a: np.ndarray) -> np.ndarray:
+        out = np.add(a, value)
+        if fuse_relu:
+            np.maximum(out, 0, out=out)
+        return out
+
+    return add_scalar
+
+
 def build_flatten(start_dim: int):
     def flatten(x: np.ndarray) -> np.ndarray:
         lead = x.shape[:start_dim]

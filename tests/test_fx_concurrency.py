@@ -517,3 +517,43 @@ class TestVMProgramReentrancy:
                 assert np.allclose(vm(x).data, expected, atol=1e-6)
 
         _run_threads(N_THREADS, worker)
+
+
+# -- tracing is per-thread --------------------------------------------------------
+
+
+class TestTraceIsThreadLocal:
+    def test_trace_does_not_intercept_other_threads(self):
+        """A symbolic trace routes module calls to its tracer only in the
+        tracing thread.  A serving worker that runs a module meanwhile (a
+        compile's shape propagation, a fallback module) must run it
+        eagerly, not have the call recorded by — or rejected as foreign
+        to — the other thread's trace."""
+        inside, release = threading.Event(), threading.Event()
+
+        class Blocking(nn.Module):
+            def forward(self, x):
+                inside.set()
+                release.wait(10)
+                return x + 1
+
+        errors = []
+
+        def trace():
+            try:
+                symbolic_trace(Blocking())
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        tracing = threading.Thread(target=trace)
+        tracing.start()
+        try:
+            assert inside.wait(10)
+            x = repro.randn(3)
+            y = nn.ReLU()(x)
+            assert np.array_equal(y.data, np.maximum(x.data, 0))
+        finally:
+            release.set()
+            tracing.join(10)
+        assert not tracing.is_alive()
+        assert not errors

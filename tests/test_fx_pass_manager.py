@@ -22,6 +22,7 @@ from repro.fx.passes import (
     PassError,
     PassManager,
     TransformCache,
+    shared_transform_cache,
     eliminate_common_subexpressions,
     eliminate_dead_code,
     fold_constants,
@@ -136,6 +137,21 @@ class TestStructuralHash:
         # replace all uses (rewire)
         relu.replace_all_uses_with(neg, delete_user_cb=lambda u: u is not neg)
         assert gm.graph.structural_hash() != h_insert
+
+
+    def test_noncontiguous_param_hashes_its_c_order_bytes(self):
+        # The digest is unchanged from the tobytes() form (EngineCache disk
+        # keys depend on it), for contiguous and non-contiguous state.
+        lin = nn.Linear(4, 3)
+        lin.weight.data = np.arange(12, dtype=np.float32).reshape(4, 3).T
+        lin.bias.data = np.zeros(3, dtype=np.float32)
+        assert not lin.weight.data.flags["C_CONTIGUOUS"]
+        gm = symbolic_trace(nn.Sequential(lin).eval())
+        h_view = gm.graph.structural_hash()
+        lin.weight.data = np.ascontiguousarray(lin.weight.data)
+        assert gm.graph.structural_hash() == h_view
+        assert h_view == ("51de2e8a08afc218b2e07337ef74f8c821a66aa3"
+                          "0ead99cd9cee9fbebea0583c")
 
 
 class TestPassManager:
@@ -339,6 +355,107 @@ class TestTransformCache:
         result = PassManager([eliminate_dead_code], cache=cache).run(gm)
         assert result.cache_hits == 0
         assert len(cache) == 0
+
+
+class TestRunCache:
+    """Each maximal run of consecutive cacheable passes is one entry."""
+
+    def test_consecutive_passes_share_one_entry(self):
+        cache = TransformCache()
+        gm = trace_with_dead_code()
+        pm = PassManager([eliminate_dead_code, eliminate_common_subexpressions],
+                         cache=cache)
+        cold = pm.run(copy_gm(gm))
+        (entry,) = cache._entries.values()
+        assert entry.node_counts == tuple(r.nodes_after for r in cold.records)
+        warm = pm.run(copy_gm(gm))
+        assert [r.cache_hit for r in warm.records] == [True, True]
+        assert [r.node_delta for r in warm.records] == \
+            [r.node_delta for r in cold.records]
+        assert warm.records[0].input_hash and not warm.records[1].input_hash
+
+    def test_mixed_pipeline_caches_both_named_segments(self):
+        cache = TransformCache()
+        gm = trace_with_dead_code()
+        pm = PassManager([eliminate_dead_code, lambda g: None,
+                          eliminate_common_subexpressions], cache=cache)
+        cold = pm.run(copy_gm(gm))
+        assert cold.cache_hits == 0
+        assert len(cache) == 2
+        warm = pm.run(copy_gm(gm))
+        assert [r.cache_hit for r in warm.records] == [True, False, True]
+        x = repro.randn(3)
+        assert np.array_equal(warm.graph_module(x).data,
+                              cold.graph_module(x).data)
+
+    def test_cache_token_makes_a_closure_cacheable(self):
+        cache = TransformCache()
+        gm = trace_with_dead_code()
+
+        def tokened(token):
+            def dce(g):
+                return eliminate_dead_code(g)
+            dce.cache_token = token
+            return dce
+
+        PassManager([tokened("a")], cache=cache).run(copy_gm(gm))
+        assert len(cache) == 1
+        again = PassManager([tokened("a")], cache=cache).run(copy_gm(gm))
+        assert again.cache_hits == 1
+        other = PassManager([tokened("b")], cache=cache).run(copy_gm(gm))
+        assert other.cache_hits == 0
+        assert len(cache) == 2
+
+    def test_hit_from_unverified_entry_is_verified_as_a_whole(self):
+        from repro.fx.analysis import PassVerifier
+
+        cache = TransformCache()
+        gm = trace_with_dead_code()
+        passes = [eliminate_dead_code, eliminate_common_subexpressions]
+        PassManager(passes, cache=cache).run(copy_gm(gm))
+        (entry,) = cache._entries.values()
+        assert entry.verification is None
+
+        verifier = PassVerifier()
+        result = PassManager(passes, cache=cache,
+                             verifier=verifier).run(copy_gm(gm))
+        assert [r.cache_hit for r in result.records] == [True, True]
+        assert [r.verified for r in result.records] == [False, True]
+        key, snapshots = entry.verification
+        assert key == verifier.config_key() and snapshots[0] is None
+        # Later hits under the same configuration verify by snapshot.
+        again = PassManager(passes, cache=cache,
+                            verifier=PassVerifier()).run(copy_gm(gm))
+        assert again.records[-1].verified
+
+    def test_default_bound_is_payload_bytes(self):
+        from repro.fx.passes.pass_manager import TRANSFORM_CACHE_MAX_BYTES
+
+        cache = TransformCache()
+        assert cache.maxsize is None
+        assert cache.max_bytes == TRANSFORM_CACHE_MAX_BYTES >= 1 << 30
+
+    def test_distinct_models_keep_payload_bytes_bounded(self, monkeypatch):
+        import repro.fx as fx
+
+        cache = shared_transform_cache()
+        cache.clear()
+        x = repro.randn(2, 16)
+
+        def model():
+            return nn.Sequential(nn.Linear(16, 16), nn.ReLU()).eval()
+
+        fx.compile(model(), (x,))
+        bound = int(2.5 * cache.nbytes)
+        monkeypatch.setattr(cache, "max_bytes", bound)
+        for _ in range(6):  # fresh weights each time: every compile misses
+            fx.compile(model(), (x,))
+            assert cache.nbytes <= bound
+        assert len(cache) == 2
+        assert cache.nbytes == sum(len(e.payload)
+                                   for e in cache._entries.values())
+        cache.clear()
+        assert cache.nbytes == 0
 
 
 class TestCodegenCache:

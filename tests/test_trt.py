@@ -205,6 +205,41 @@ class TestFallback:
         assert supported["fc1"] is True
 
 
+class TestScalarAdd:
+    class AddScalar(nn.Module):
+        def forward(self, x):
+            return F.relu(x + 1.5) + (2 + x)
+
+    class AddAlpha(nn.Module):
+        def forward(self, x):
+            return F.add(x, x, alpha=2)
+
+    def test_scalar_operand_lowers_as_constant(self):
+        # Regression: a Python scalar operand used to raise a bare
+        # KeyError from the slot table.
+        from repro.fx import to_backend
+
+        model = self.AddScalar().eval()
+        lowered = to_backend(model, "trt", allow_fallback=False)
+        assert isinstance(lowered, TRTModule)
+        x = repro.randn(2, 3)
+        out = lowered(x)
+        assert out.data.dtype == np.float32
+        assert np.array_equal(out.data, model(x).data)
+
+    def test_add_with_alpha_is_unsupported(self):
+        # Lowering it as a plain add would drop alpha: refuse instead.
+        from repro.fx import to_backend
+        from repro.fx.backends import UnsupportedNodesError
+
+        model = self.AddAlpha().eval()
+        with pytest.raises(UnsupportedNodesError):
+            to_backend(model, "trt", allow_fallback=False)
+        x = repro.randn(2, 3)
+        lowered = to_backend(model, "trt")
+        assert np.array_equal(lowered(x).data, model(x).data)
+
+
 class TestDecoderOps:
     def test_conv_transpose_kernel(self):
         import repro.trt.ops as trt_ops
